@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-baseline bench-sweep bench-guard bench-profile golden golden-check scenario-check serve-check chaos-check
+.PHONY: check vet build test race bench golden golden-check scenario-check serve-check chaos-check
 
 # check is the gate every change must pass: vet, build, the full test
 # suite, and a race-detector pass over the parallel campaign worker pool
@@ -28,37 +28,6 @@ race:
 # section for the benchstat comparison workflow).
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/ ./internal/fs/ ./internal/core/
-
-# bench-baseline refreshes the machine-readable per-round cost baseline.
-bench-baseline:
-	$(GO) run ./cmd/tocttou -bench-baseline
-
-# bench-sweep regenerates BENCH_4.json: the Fig 6 sweep timed three ways
-# (pre-sweep baseline, serial campaign loop, sweep scheduler), the
-# coalesced-vs-stepped bracket, allocs/op, and the adaptive budget's
-# savings. BENCH_2.json (pre-fork) and BENCH_3.json (pre-coalescing) are
-# kept for the trajectory; do not regenerate them.
-bench-sweep:
-	$(GO) run ./cmd/tocttou -sweep -adaptive -sweep-out BENCH_4.json
-
-# bench-guard re-times the Fig 6 sweep against the committed BENCH_4.json
-# (the stretch-coalescing baseline) and fails if it is more than 45%
-# slower at any recorded GOMAXPROCS. The tolerance is sized to the
-# recording host's measured best-of spread (quiet runs ~79ms, contended
-# runs up to ~124ms on the 1-CPU container) — a real regression from
-# losing coalescing or forking is ~3x, far outside it. Wall-time
-# baselines only transfer between comparable hosts; regenerate the
-# record with bench-sweep when moving machines.
-bench-guard:
-	$(GO) run ./cmd/tocttou -bench-guard -bench-against BENCH_4.json -bench-tolerance 0.45
-
-# bench-profile captures CPU and heap profiles of the Fig 6 sweep for
-# `go tool pprof`. The sweep mode re-times the full grid, so the profile
-# covers the production round path end to end (fork, coalesce, fold).
-bench-profile:
-	$(GO) run ./cmd/tocttou -sweep -sweep-out /tmp/bench-profile-sweep.json \
-		-cpuprofile bench-cpu.prof -memprofile bench-mem.prof
-	@echo "bench-profile: wrote bench-cpu.prof and bench-mem.prof (inspect with: go tool pprof bench-cpu.prof)"
 
 # golden refreshes the committed experiment snapshots. Run it after a
 # deliberate output change and review the diff before committing.

@@ -63,12 +63,12 @@ func TestRunRejectsBadFlagCombos(t *testing.T) {
 		},
 		{
 			"checkpoint without experiment mode",
-			[]string{"-sweep", "-checkpoint", "x.ckpt"},
+			[]string{"-explore", "-checkpoint", "x.ckpt"},
 			"-checkpoint",
 		},
 		{
-			"checkpoint with bench mode",
-			[]string{"-bench-baseline", "-checkpoint", "x.ckpt"},
+			"checkpoint with trace export",
+			[]string{"-trace-out", "t.jsonl", "-checkpoint", "x.ckpt"},
 			"-checkpoint",
 		},
 	}
@@ -113,11 +113,6 @@ func TestScenarioFlagValidation(t *testing.T) {
 			"scenario with adaptive",
 			[]string{"-scenario", "x.yaml", "-adaptive"},
 			"-adaptive does not apply",
-		},
-		{
-			"scenario with bench mode",
-			[]string{"-scenario", "x.yaml", "-bench-baseline"},
-			"-bench-baseline does not apply",
 		},
 		{
 			"scenario with trace export",

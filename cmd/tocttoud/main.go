@@ -115,6 +115,13 @@ func run(args []string) error {
 		return err
 	}
 
+	// The drain handler goes in before the listener exists, so a client
+	// that sees the daemon ready (-addr-file, a served request) can always
+	// stop it gracefully.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigc)
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err
@@ -131,8 +138,6 @@ func run(args []string) error {
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case sig := <-sigc:
 		logger.Printf("received %v; draining (in-flight points finish committing, checkpoints flush)", sig)

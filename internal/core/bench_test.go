@@ -36,7 +36,7 @@ func BenchmarkRoundReused(b *testing.B) {
 }
 
 // BenchmarkCampaignViSMP measures a small parallel campaign end to end and
-// reports per-round cost, the quantity BENCH_1.json records.
+// reports per-round cost.
 func BenchmarkCampaignViSMP(b *testing.B) {
 	b.ReportAllocs()
 	const rounds = 100

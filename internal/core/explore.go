@@ -158,7 +158,7 @@ func exploreScenario(sc Scenario, opt ExploreOptions) Scenario {
 // one scenario's bounded round and returns the exact attacker win
 // probability, minimal replayable winning/losing schedules, and a Monte
 // Carlo campaign over the identical discretized model for cross-checking.
-// It is the exact counterpart of RunSweep's sampled campaigns: feasible
+// It is the exact counterpart of RunSweepPoints' sampled campaigns: feasible
 // only for bounded windows, but free of sampling error.
 func ExploreCampaign(sc Scenario, opt ExploreOptions) (*ExploreResult, error) {
 	base := exploreScenario(sc, opt)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tocttou/internal/machine"
@@ -54,12 +56,12 @@ func TestSweepMetricsDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	const rounds = 120
 
-	parallel, err := RunSweep(scs, rounds, SweepOptions{})
+	parallel, _, err := RunSweepPoints(uniformPoints(scs, rounds), SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := runtime.GOMAXPROCS(1)
-	serial, serr := RunSweep(scs, rounds, SweepOptions{})
+	serial, _, serr := RunSweepPoints(uniformPoints(scs, rounds), SweepOptions{})
 	runtime.GOMAXPROCS(prev)
 	if serr != nil {
 		t.Fatal(serr)
@@ -78,7 +80,7 @@ func TestCampaignMetricsMatchBaselineRunner(t *testing.T) {
 	// The pre-sweep serial runner folds rounds in plain index order; the
 	// sweep's reorder buffer must reproduce its metrics exactly.
 	sc := deterministicViSMP()
-	base, err := RunCampaignBaseline(sc, determinismRounds)
+	base, err := runCampaignBaseline(sc, determinismRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,4 +103,50 @@ func TestCampaignMetricsUntracedCountersStillPopulate(t *testing.T) {
 	if res.Metrics.WindowHist.N() != 0 || res.Metrics.LHist.N() != 0 {
 		t.Fatal("untraced campaign must have empty latency histograms")
 	}
+}
+
+// runCampaignBaseline is the pre-sweep campaign runner, kept as the
+// reference the sweep's metrics fold is checked against: it spins up a
+// fresh worker set per campaign, buffers O(rounds) Round and error slices,
+// and barriers on every round before folding in plain index order.
+func runCampaignBaseline(sc Scenario, rounds int) (CampaignResult, error) {
+	if rounds <= 0 {
+		return CampaignResult{}, fmt.Errorf("core: campaign needs rounds > 0, got %d", rounds)
+	}
+	results := make([]Round, rounds)
+	errs := make([]error, rounds)
+
+	workers := runtime.NumCPU()
+	if workers > rounds {
+		workers = rounds
+	}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var st roundState
+			for i := range next {
+				rsc := sc
+				rsc.Seed = sc.Seed + int64(i+1)*SeedStride
+				results[i], errs[i] = runRound(rsc, &st)
+				results[i].Events = nil
+			}
+		}()
+	}
+	for i := 0; i < rounds; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	var out CampaignResult
+	for i := 0; i < rounds; i++ {
+		if errs[i] != nil {
+			return CampaignResult{}, fmt.Errorf("core: round %d: %w", i, errs[i])
+		}
+		out.addRound(results[i])
+	}
+	return out, nil
 }

@@ -159,24 +159,15 @@ func (e *SweepError) Error() string {
 // Unwrap exposes the underlying round error.
 func (e *SweepError) Unwrap() error { return e.Err }
 
-// RunSweep runs one campaign of the given budget per scenario, drawing
-// all rounds from the shared worker pool. Per-round seeds derive exactly
-// as in RunCampaign, and with the default fixed budget each result is
-// bit-identical to RunCampaign(scs[i], rounds) — regardless of
-// GOMAXPROCS or how the pool interleaves the points.
-func RunSweep(scs []Scenario, rounds int, opt SweepOptions) ([]CampaignResult, error) {
-	points := make([]SweepPoint, len(scs))
-	for i, sc := range scs {
-		points[i] = SweepPoint{Scenario: sc, Rounds: rounds}
-	}
-	res, _, err := RunSweepPoints(points, opt)
-	return res, err
-}
-
-// RunSweepPoints is RunSweep with per-point budgets and execution stats.
-// Points that are provably duplicates — identical result-determining
-// configuration and identical round budgets — are simulated once and
-// share the result (see memo.go for the exact conditions).
+// RunSweepPoints runs one campaign per point at that point's round
+// budget, drawing all rounds from the shared worker pool, and reports
+// execution stats. Per-round seeds derive exactly as in RunCampaign, and
+// with the default fixed budget each result is bit-identical to
+// RunCampaign(points[i].Scenario, points[i].Rounds) — regardless of
+// GOMAXPROCS or how the pool interleaves the points. Points that are
+// provably duplicates — identical result-determining configuration and
+// identical round budgets — are simulated once and share the result (see
+// memo.go for the exact conditions).
 func RunSweepPoints(points []SweepPoint, opt SweepOptions) ([]CampaignResult, SweepStats, error) {
 	// The public completion hook folds into the internal one so a single
 	// dispatch point (fold, plus the memo fan-out below) serves both; the

@@ -47,6 +47,15 @@ func sweepTestPoints() []Scenario {
 	}
 }
 
+// uniformPoints gives every scenario the same round budget.
+func uniformPoints(scs []Scenario, rounds int) []SweepPoint {
+	points := make([]SweepPoint, len(scs))
+	for i, sc := range scs {
+		points[i] = SweepPoint{Scenario: sc, Rounds: rounds}
+	}
+	return points
+}
+
 func TestRunSweepMatchesSerialFold(t *testing.T) {
 	scs := sweepTestPoints()
 	const rounds = 80
@@ -56,10 +65,10 @@ func TestRunSweepMatchesSerialFold(t *testing.T) {
 	}
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(procs)
-		got, err := RunSweep(scs, rounds, SweepOptions{})
+		got, _, err := RunSweepPoints(uniformPoints(scs, rounds), SweepOptions{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
-			t.Fatalf("GOMAXPROCS=%d: RunSweep: %v", procs, err)
+			t.Fatalf("GOMAXPROCS=%d: RunSweepPoints: %v", procs, err)
 		}
 		for i := range scs {
 			if got[i] != want[i] {
@@ -97,8 +106,8 @@ func TestRunSweepPointsPerPointBudgets(t *testing.T) {
 }
 
 func TestRunSweepRejectsNonPositiveRounds(t *testing.T) {
-	if _, err := RunSweep(sweepTestPoints()[:1], 0, SweepOptions{}); err == nil {
-		t.Fatal("RunSweep with rounds=0 succeeded, want error")
+	if _, _, err := RunSweepPoints(uniformPoints(sweepTestPoints()[:1], 0), SweepOptions{}); err == nil {
+		t.Fatal("RunSweepPoints with rounds=0 succeeded, want error")
 	}
 	if _, _, err := RunCampaignRounds(sweepTestPoints()[0], -3, false); err == nil {
 		t.Fatal("RunCampaignRounds with rounds=-3 succeeded, want error")
@@ -120,8 +129,8 @@ func TestOnRoundOrderedEventsStripped(t *testing.T) {
 			t.Errorf("point %d round %d: Events leaked through OnRound", point, round)
 		}
 	}}
-	if _, err := RunSweep(scs, rounds, opt); err != nil {
-		t.Fatalf("RunSweep: %v", err)
+	if _, _, err := RunSweepPoints(uniformPoints(scs, rounds), opt); err != nil {
+		t.Fatalf("RunSweepPoints: %v", err)
 	}
 	for p, n := range next {
 		if n != rounds {

@@ -81,10 +81,11 @@ func (o Options) sweep() core.SweepOptions {
 	return so
 }
 
-// runSweep is the experiments' standard sweep entry point: core.RunSweep
-// semantics, plus checkpoint routing when the option is set. Pointer
-// receiver so the per-run checkpoint-file counter advances across an
-// experiment's multiple sweeps.
+// runSweep is the experiments' standard sweep entry point: one
+// core.RunSweepPoints point per scenario at a uniform budget, plus
+// checkpoint routing when the option is set. Pointer receiver so the
+// per-run checkpoint-file counter advances across an experiment's
+// multiple sweeps.
 func (o *Options) runSweep(scs []core.Scenario, rounds int) ([]core.CampaignResult, error) {
 	return o.runSweepWith(scs, rounds, o.sweep())
 }

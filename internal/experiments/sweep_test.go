@@ -20,6 +20,16 @@ func fig6Scenarios() []core.Scenario {
 	return scs
 }
 
+// fig6Points is the Fig 6 point set at a uniform round budget.
+func fig6Points(rounds int) []core.SweepPoint {
+	scs := fig6Scenarios()
+	points := make([]core.SweepPoint, len(scs))
+	for i, sc := range scs {
+		points[i] = core.SweepPoint{Scenario: sc, Rounds: rounds}
+	}
+	return points
+}
+
 // TestFig6SweepBitIdenticalToSerialLoop is the tentpole's contract: the
 // interleaved sweep over the Fig 6 point set produces byte-for-byte the
 // CampaignResults of the old serial RunCampaign loop, at GOMAXPROCS=1
@@ -37,7 +47,7 @@ func TestFig6SweepBitIdenticalToSerialLoop(t *testing.T) {
 	}
 	for _, procs := range []int{1, runtime.NumCPU()} {
 		prev := runtime.GOMAXPROCS(procs)
-		swept, err := core.RunSweep(scs, rounds, core.SweepOptions{})
+		swept, _, err := core.RunSweepPoints(fig6Points(rounds), core.SweepOptions{})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: sweep: %v", procs, err)
@@ -83,18 +93,14 @@ func TestFig6SeedStreamsPairwiseDisjoint(t *testing.T) {
 // half-width the low-rate uniprocessor points satisfy the Wilson rule
 // long before 500 rounds, and the results stay deterministic.
 func TestFig6AdaptiveReducesRounds(t *testing.T) {
-	scs := fig6Scenarios()
 	const budget = 500
-	points := make([]core.SweepPoint, len(scs))
-	for i, sc := range scs {
-		points[i] = core.SweepPoint{Scenario: sc, Rounds: budget}
-	}
+	points := fig6Points(budget)
 	opt := core.SweepOptions{Adaptive: core.AdaptiveStop{HalfWidth: 0.04}}
 	res, stats, err := core.RunSweepPoints(points, opt)
 	if err != nil {
 		t.Fatalf("adaptive sweep: %v", err)
 	}
-	total := len(scs) * budget
+	total := len(points) * budget
 	if stats.RoundsCommitted >= total {
 		t.Errorf("adaptive committed %d rounds, want < fixed total %d", stats.RoundsCommitted, total)
 	}
@@ -102,7 +108,7 @@ func TestFig6AdaptiveReducesRounds(t *testing.T) {
 		t.Error("no point stopped early at half-width 0.04")
 	}
 	t.Logf("adaptive: %d/%d rounds committed, %d/%d points stopped early",
-		stats.RoundsCommitted, total, stats.PointsStopped, len(scs))
+		stats.RoundsCommitted, total, stats.PointsStopped, len(points))
 	res2, stats2, err := core.RunSweepPoints(points, opt)
 	if err != nil {
 		t.Fatalf("adaptive sweep (repeat): %v", err)
