@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -132,6 +133,12 @@ type SweepStats struct {
 	// (see memo.go); memoized points contribute nothing to
 	// RoundsExecuted or RoundsCommitted.
 	PointsMemoized int
+	// Executors counts the goroutines that simulated at least one round,
+	// the calling goroutine included: at most parallelism(), fewer when
+	// the pool is busy with other sweeps or the sweep is too short for
+	// helpers to join in time. It describes scheduling only; results
+	// never depend on it.
+	Executors int
 }
 
 // ErrSweepInterrupted reports a sweep that stopped deliberately — the
@@ -249,13 +256,9 @@ func runSweepPointsDirect(points []SweepPoint, opt SweepOptions) ([]CampaignResu
 	if max := int(r.total) - 1; helpers > max {
 		helpers = max
 	}
-	dispatch(r, &r.wg, helpers)
-	st := statePool.Get().(*roundState)
-	r.work(st)
-	statePool.Put(st)
-	r.wg.Wait()
+	executors := runShared(r, helpers)
 
-	stats := SweepStats{RoundsExecuted: int(r.executed.Load())}
+	stats := SweepStats{RoundsExecuted: int(r.executed.Load()), Executors: executors}
 	if r.err != nil {
 		return nil, stats, r.err
 	}
@@ -300,8 +303,6 @@ type sweepRun struct {
 
 	errMu sync.Mutex
 	err   *SweepError
-
-	wg sync.WaitGroup // outstanding pool helpers
 }
 
 // pointAgg accumulates one point's result, committing rounds in index
@@ -314,17 +315,12 @@ type pointAgg struct {
 	done    atomic.Bool   // adaptive rule satisfied; skip remaining work
 }
 
-// runOn implements poolJob.
-func (r *sweepRun) runOn(st *roundState) {
-	r.work(st)
-	r.wg.Done()
-}
-
-// work claims and executes tickets until the sweep is exhausted or
-// cancelled. Tickets ascend through the flattened (point, round) space,
-// so workers drain one point's tail and flow into the next with no
-// barrier in between.
-func (r *sweepRun) work(st *roundState) {
+// work implements poolJob: it claims and executes tickets until the
+// sweep is exhausted or cancelled, returning the rounds it simulated.
+// Tickets ascend through the flattened (point, round) space, so workers
+// drain one point's tail and flow into the next with no barrier in
+// between.
+func (r *sweepRun) work(st *roundState) (ran int) {
 	for !r.cancel.Load() {
 		if r.opt.Interrupt != nil {
 			select {
@@ -336,13 +332,13 @@ func (r *sweepRun) work(st *roundState) {
 				// drains.
 				r.interrupted.Store(true)
 				r.cancel.Store(true)
-				return
+				return ran
 			default:
 			}
 		}
 		t := r.next.Add(1) - 1
 		if t >= r.total {
-			return
+			return ran
 		}
 		p := r.pointAt(t)
 		i := int(t - r.offsets[p])
@@ -354,15 +350,17 @@ func (r *sweepRun) work(st *roundState) {
 		sc.Seed += int64(i+1) * SeedStride
 		round, err := runRoundSafe(sc, st)
 		r.executed.Add(1)
+		ran++
 		if err != nil {
 			r.fail(p, i, sc.Seed, err)
-			return
+			return ran
 		}
 		// Events alias st's reused trace buffer; everything derived from
 		// them was measured inside runRound.
 		round.Events = nil
 		r.commit(p, i, round)
 	}
+	return ran
 }
 
 // pointAt maps a ticket to its sweep point.
@@ -474,11 +472,7 @@ func FindRound(sc Scenario, maxTries int, stride int64, want func(Round) bool) (
 			hi = maxTries
 		}
 		f := &findRun{sc: sc, stride: stride, lo: lo, hi: hi, want: want, best: -1, errIdx: -1}
-		dispatch(f, &f.wg, hi-lo-1)
-		st := statePool.Get().(*roundState)
-		f.work(st)
-		statePool.Put(st)
-		f.wg.Wait()
+		runShared(f, hi-lo-1)
 		if f.errIdx >= 0 && (f.best < 0 || f.errIdx < f.best) {
 			return Round{}, 0, 0, f.err
 		}
@@ -509,21 +503,14 @@ type findRun struct {
 	best   int // lowest matching candidate index, -1 if none
 	err    error
 	errIdx int // lowest failing candidate index, -1 if none
-
-	wg sync.WaitGroup
 }
 
-// runOn implements poolJob.
-func (f *findRun) runOn(st *roundState) {
-	f.work(st)
-	f.wg.Done()
-}
-
-func (f *findRun) work(st *roundState) {
+// work implements poolJob, returning the candidates it simulated.
+func (f *findRun) work(st *roundState) (ran int) {
 	for {
 		t := f.lo + int(f.next.Add(1)-1)
 		if t >= f.hi {
-			return
+			return ran
 		}
 		// Candidates are claimed in ascending order, so once a match
 		// exists every not-yet-claimed index is worse; in-flight lower
@@ -532,18 +519,19 @@ func (f *findRun) work(st *roundState) {
 		bestSoFar := f.best
 		f.mu.Unlock()
 		if bestSoFar >= 0 && t > bestSoFar {
-			return
+			return ran
 		}
 		rsc := f.sc
 		rsc.Seed = f.sc.Seed + int64(t)*f.stride
 		round, err := runRoundSafe(rsc, st)
+		ran++
 		if err != nil {
 			f.mu.Lock()
 			if f.errIdx < 0 || t < f.errIdx {
 				f.err, f.errIdx = err, t
 			}
 			f.mu.Unlock()
-			return
+			return ran
 		}
 		if f.want(round) {
 			f.mu.Lock()
@@ -557,10 +545,11 @@ func (f *findRun) work(st *roundState) {
 
 // --- process-wide worker pool --------------------------------------------
 
-// poolJob is work a pool worker executes with its long-lived round
-// context.
+// poolJob is a live sweep or FindRound batch. work claims and runs
+// tickets until none are left and reports how many it ran; any number of
+// goroutines may call it concurrently, each with its own round context.
 type poolJob interface {
-	runOn(st *roundState)
+	work(st *roundState) int
 }
 
 // parallelism returns the target number of concurrent round executors
@@ -573,47 +562,93 @@ func parallelism() int {
 	return 2
 }
 
+// enginePool is the process-wide set of parallelism() workers and the
+// registry of live jobs they may join. Each worker keeps one roundState,
+// so its kernel, FS, and trace buffer are reused across every campaign in
+// the process, not just within one.
 var enginePool struct {
-	once sync.Once
-	jobs chan poolJob
+	mu      sync.Mutex
+	cond    sync.Cond // signalled when a job is registered
+	started bool
+	live    []*sharedJob // registered jobs with helper slots open, oldest first
+	idle    int          // workers parked on cond
 }
 
-// ensurePool lazily starts the process-wide workers. They are few
-// (parallelism()), long-lived, and park on the job channel between
-// sweeps; each keeps one roundState, so its kernel, FS, and trace buffer
-// are reused across every campaign in the process, not just within one.
-func ensurePool() chan poolJob {
-	enginePool.once.Do(func() {
-		enginePool.jobs = make(chan poolJob)
-		for i := 0; i < parallelism(); i++ {
-			go func() {
-				var st roundState
-				for j := range enginePool.jobs {
-					j.runOn(&st)
-				}
-			}()
-		}
-	})
-	return enginePool.jobs
+// sharedJob is one registration of a poolJob in the live list.
+type sharedJob struct {
+	job       poolJob
+	want      int            // helper slots still open; 0 once off the list
+	wg        sync.WaitGroup // helpers that joined
+	executors atomic.Int64   // goroutines that ran at least one ticket
 }
 
-// dispatch offers a job to up to n idle pool workers, registering each
-// acceptance on wg before the worker can possibly complete. Busy workers
-// are never waited for — the caller always executes the job itself too,
-// so progress needs no free worker.
-func dispatch(j poolJob, wg *sync.WaitGroup, n int) {
-	if n <= 0 {
-		return
+func (s *sharedJob) run(st *roundState) {
+	if s.job.work(st) > 0 {
+		s.executors.Add(1)
 	}
-	jobs := ensurePool()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		select {
-		case jobs <- j:
-		default:
-			wg.Add(-1)
-			return
+}
+
+// runShared executes job on the calling goroutine while up to n pool
+// workers join it, and returns the number of goroutines that ran at least
+// one ticket, caller included. The job stays on the live list for as long
+// as the caller works on it, so a worker that frees up mid-job — the pool
+// warming up in a fresh process, or finishing another sweep — still
+// joins. The caller takes the job off the list under the lock before
+// waiting, so no helper can register on wg after the wait begins. The
+// caller always runs the job itself, so progress needs no free worker.
+func runShared(job poolJob, n int) int {
+	s := &sharedJob{job: job, want: n}
+	p := &enginePool
+	if n > 0 {
+		p.mu.Lock()
+		if !p.started {
+			p.started = true
+			p.cond.L = &p.mu
+			for i := 0; i < parallelism(); i++ {
+				go poolWorker()
+			}
 		}
+		p.live = append(p.live, s)
+		for i := 0; i < n && i < p.idle; i++ {
+			p.cond.Signal()
+		}
+		p.mu.Unlock()
+	}
+	st := statePool.Get().(*roundState)
+	s.run(st)
+	statePool.Put(st)
+	if n > 0 {
+		p.mu.Lock()
+		if s.want > 0 {
+			s.want = 0
+			p.live = slices.DeleteFunc(p.live, func(o *sharedJob) bool { return o == s })
+		}
+		p.mu.Unlock()
+		s.wg.Wait()
+	}
+	return int(s.executors.Load())
+}
+
+// poolWorker parks until a live job has an open helper slot, joins the
+// oldest such job, and parks again when its work runs dry.
+func poolWorker() {
+	var st roundState
+	p := &enginePool
+	for {
+		p.mu.Lock()
+		for len(p.live) == 0 {
+			p.idle++
+			p.cond.Wait()
+			p.idle--
+		}
+		s := p.live[0]
+		if s.want--; s.want == 0 {
+			p.live = slices.Delete(p.live, 0, 1)
+		}
+		s.wg.Add(1)
+		p.mu.Unlock()
+		s.run(&st)
+		s.wg.Done()
 	}
 }
 
@@ -622,7 +657,8 @@ func dispatch(j poolJob, wg *sync.WaitGroup, n int) {
 // work.
 var statePool = sync.Pool{New: func() any { return new(roundState) }}
 
-// errAs is a tiny local alias to keep campaign.go's imports tidy.
+// sweepErrorAs unwraps a *SweepError, for the wrappers (campaign.go,
+// subset.go, checkpoint.go) that translate its point index or message.
 func sweepErrorAs(err error) (*SweepError, bool) {
 	var se *SweepError
 	if errors.As(err, &se) {

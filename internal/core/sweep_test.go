@@ -309,20 +309,7 @@ func TestFindRoundMatchesSerialScan(t *testing.T) {
 	want := func(r Round) bool { return r.Success }
 	const stride, tries = 9973, 512
 
-	// Reference: the old serial first-match scan.
-	serialIdx := -1
-	for i := 0; i < tries; i++ {
-		rsc := sc
-		rsc.Seed += int64(i) * stride
-		r, err := RunRound(rsc)
-		if err != nil {
-			t.Fatalf("serial scan %d: %v", i, err)
-		}
-		if want(r) {
-			serialIdx = i
-			break
-		}
-	}
+	serialIdx := serialFindIndex(t, sc, tries, stride, want)
 	if serialIdx < 0 {
 		t.Skip("no matching round in range; pick a different seed")
 	}
@@ -345,6 +332,24 @@ func TestFindRoundMatchesSerialScan(t *testing.T) {
 	if len(r.Events) == 0 {
 		t.Fatal("FindRound winner has no Events; the caller owns a fresh re-simulation")
 	}
+}
+
+// serialFindIndex is FindRound's reference: the old serial first-match
+// scan, returning the matching candidate's index or -1.
+func serialFindIndex(t *testing.T, sc Scenario, tries int, stride int64, want func(Round) bool) int {
+	t.Helper()
+	for i := 0; i < tries; i++ {
+		rsc := sc
+		rsc.Seed += int64(i) * stride
+		r, err := RunRound(rsc)
+		if err != nil {
+			t.Fatalf("serial scan %d: %v", i, err)
+		}
+		if want(r) {
+			return i
+		}
+	}
+	return -1
 }
 
 func TestFindRoundNoMatch(t *testing.T) {

@@ -132,13 +132,19 @@ func TestFleetCleanRunBitIdentical(t *testing.T) {
 	}
 }
 
+// The chaos tests below name worker incarnations (w0, w1). They run one
+// worker at a time, so each named incarnation is sure to lease a point:
+// with several workers on the 6-point spec, a fast sibling can take every
+// point before the named one leases any. Multi-worker runs are covered by
+// the clean-run and quarantine tests.
+
 func TestFleetCrashTornRecoveryBitIdentical(t *testing.T) {
 	// Workers 0 and 1 die at their first point (one cleanly crashed, one
 	// mid-result-write); the fleet must recover and the results must not
 	// show it.
 	points := fleetPoints(t)
 	want := referenceResults(t, points)
-	committed, _, stats := runFleet(t, testConfig(t, 3, "w0:crash@1;w1:torn@1"), points, nil)
+	committed, _, stats := runFleet(t, testConfig(t, 1, "w0:crash@1;w1:torn@1"), points, nil)
 	checkBitIdentical(t, committed, want, nil)
 	if stats.Restarts < 2 {
 		t.Errorf("restarts = %d, want >= 2 (two workers were killed)", stats.Restarts)
@@ -156,7 +162,7 @@ func TestFleetExactlyOnceAfterCommitBeforeAck(t *testing.T) {
 	// PointsMemoized-style dedupe counter, bit-identical results.
 	points := fleetPoints(t)
 	want := referenceResults(t, points)
-	committed, calls, stats := runFleet(t, testConfig(t, 2, "w0:crash-after@1"), points, nil)
+	committed, calls, stats := runFleet(t, testConfig(t, 1, "w0:crash-after@1"), points, nil)
 	if len(calls) != len(points) {
 		t.Fatalf("onPoint saw %d distinct points, want %d", len(calls), len(points))
 	}
@@ -172,12 +178,12 @@ func TestFleetExactlyOnceAfterCommitBeforeAck(t *testing.T) {
 func TestFleetStallDetectedByDeadline(t *testing.T) {
 	points := fleetPoints(t)
 	want := referenceResults(t, points)
-	cfg := testConfig(t, 2, "w1:stall@1")
+	cfg := testConfig(t, 1, "w0:stall@1")
 	cfg.LeaseTimeout = 300 * time.Millisecond
 	committed, _, stats := runFleet(t, cfg, points, nil)
 	checkBitIdentical(t, committed, want, nil)
 	if stats.Stalls < 1 {
-		t.Errorf("stalls = %d, want >= 1 (worker 1 went silent)", stats.Stalls)
+		t.Errorf("stalls = %d, want >= 1 (worker 0 went silent)", stats.Stalls)
 	}
 }
 
