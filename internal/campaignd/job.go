@@ -5,7 +5,9 @@ package campaignd
 //
 //	spec            the submitted scenario bytes, verbatim
 //	state.json      the job's metadata and state (atomic replace)
-//	checkpoint.json core's crash-safe sweep checkpoint (atomic replace)
+//	checkpoint.json core's crash-safe sweep checkpoint: an append-only
+//	                log, a header line then one JSON line per committed
+//	                point; a torn final line is cut off on load
 //	events.ndjson   the point-event log, one JSON line per committed
 //	                point, fsynced before any watcher sees the event
 //	report.txt      the final rendering, written once on completion
@@ -348,7 +350,7 @@ func splitLines(data []byte) [][]byte {
 }
 
 // writeJSONAtomic marshals v and atomically replaces path (temp file +
-// rename, the same discipline as core's checkpoint writer).
+// rename, as core does when it creates a checkpoint's header).
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

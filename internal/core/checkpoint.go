@@ -1,38 +1,45 @@
 package core
 
-// Crash-safe sweep checkpointing. A checkpoint file holds the committed
-// per-point results of an interrupted sweep: every time a point finishes
-// (the onPointDone hook, which fires exactly once per completed point, in
-// commit order, and never for points cut short by cancellation), the full
-// set of completed results is re-serialized and atomically swapped into
-// place via a temp file + rename. Resuming validates a fingerprint of the
-// sweep configuration, restores the completed points verbatim, and runs
-// only the remainder. Because each point's result depends solely on its
-// own scenario and seed (workers share nothing across points but the
-// pool), the merged output is bit-identical to an uninterrupted run.
+// Crash-safe sweep checkpointing. A checkpoint file is an append-only
+// NDJSON log of a sweep's committed per-point results. Its first line is
+// a header (schema version, sweep fingerprint, point count), written by
+// temp file + rename when the file is created, so a headerless file never
+// exists. Every time a point finishes (the onPointDone hook, which fires
+// exactly once per completed point, in commit order, and never for points
+// cut short by cancellation), one entry line for that point alone is
+// appended with a single write, so a flush costs the same however many
+// points the file already holds. Resuming validates the header against
+// the sweep configuration, restores the recorded points verbatim, and
+// runs only the remainder. A torn final line (a crash mid-append) is
+// dropped and the file truncated back to its last whole line, so later
+// appends start on a line boundary. Because each point's result depends
+// solely on its own scenario and seed (workers share nothing across
+// points but the pool), any whole-line prefix of the log is a valid
+// checkpoint and the merged output is bit-identical to an uninterrupted
+// run.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
-	"sort"
 	"sync"
 )
 
 // checkpointVersion guards the on-disk schema.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
-// checkpointFile is the on-disk schema: the sweep fingerprint plus the
-// completed points' results, sorted by point index.
-type checkpointFile struct {
-	Version     int               `json:"version"`
-	Fingerprint uint64            `json:"fingerprint"`
-	Points      int               `json:"points"`
-	Done        []checkpointEntry `json:"done"`
+// checkpointHeader is the log's first line: the sweep it belongs to.
+type checkpointHeader struct {
+	Version     int    `json:"version"`
+	Fingerprint uint64 `json:"fingerprint"`
+	Points      int    `json:"points"`
 }
 
+// checkpointEntry is every later line: one committed point.
 type checkpointEntry struct {
 	Point  int            `json:"point"`
 	Result CampaignResult `json:"result"`
@@ -42,7 +49,7 @@ type checkpointEntry struct {
 // checkpointing. With an empty path it is RunSweepPoints exactly. With a
 // path, completed points already recorded in the file are restored
 // without re-simulation, the remaining points run as a sub-sweep whose
-// completions are flushed atomically as they commit, and the merged
+// completions are appended to the file as they commit, and the merged
 // results are bit-identical to an uninterrupted RunSweepPoints over the
 // same points (per-point results never depend on other points). The
 // returned SweepStats covers only the work this call performed; restored
@@ -57,8 +64,7 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 	if path == "" {
 		return RunSweepPoints(points, opt)
 	}
-	fp := sweepFingerprint(points, opt.Adaptive)
-	done, err := loadCheckpoint(path, fp, len(points))
+	w, done, err := openCheckpointWriter(path, sweepFingerprint(points, opt.Adaptive), len(points))
 	if err != nil {
 		return nil, SweepStats{}, err
 	}
@@ -85,7 +91,6 @@ func RunSweepPointsCheckpoint(points []SweepPoint, opt SweepOptions, path string
 			}
 		}
 	}
-	w := &checkpointWriter{path: path, fp: fp, points: len(points), done: done}
 	var remaining []SweepPoint
 	var remapped []int // remapped[subIdx] = original point index
 	restoredCopies := 0
@@ -196,83 +201,182 @@ func hashPoint(h io.Writer, p SweepPoint) {
 		sc.Horizon, sc.Watchdog, sc.Faults)
 }
 
-// loadCheckpoint reads and validates an existing checkpoint file. A
-// missing file is an empty checkpoint; a present but mismatched one is an
-// error (stale files must be deleted deliberately, never merged).
+// loadCheckpoint opens the checkpoint log at path for a sweep with
+// fingerprint fp over npoints points and returns the points it records.
+// A missing file is created holding only its header. A present file
+// written for a different sweep is an error (stale files must be deleted
+// deliberately, never merged), and a rejected file is left untouched. A
+// torn or unparsable final line is dropped and the file truncated back
+// to its last whole line, so loading the same file twice gives the same
+// points.
 func loadCheckpoint(path string, fp uint64, npoints int) (map[int]CampaignResult, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
+		h := checkpointHeader{Version: checkpointVersion, Fingerprint: fp, Points: npoints}
+		if err := createCheckpoint(path, h); err != nil {
+			return nil, fmt.Errorf("core: checkpoint: %w", err)
+		}
 		return map[int]CampaignResult{}, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint: %w", err)
 	}
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("core: checkpoint %s: corrupt: %w", path, err)
+	done, whole, err := parseCheckpoint(data, fp, npoints)
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint %s: %w", path, err)
 	}
-	if f.Version != checkpointVersion {
-		return nil, fmt.Errorf("core: checkpoint %s: version %d, want %d", path, f.Version, checkpointVersion)
-	}
-	if f.Fingerprint != fp || f.Points != npoints {
-		return nil, fmt.Errorf("core: checkpoint %s: written for a different sweep configuration (delete it to start over)", path)
-	}
-	done := make(map[int]CampaignResult, len(f.Done))
-	for _, e := range f.Done {
-		if e.Point < 0 || e.Point >= npoints {
-			return nil, fmt.Errorf("core: checkpoint %s: point %d out of range [0, %d)", path, e.Point, npoints)
+	if whole < len(data) {
+		if err := os.Truncate(path, int64(whole)); err != nil {
+			return nil, fmt.Errorf("core: checkpoint: %w", err)
 		}
-		done[e.Point] = e.Result
 	}
 	return done, nil
 }
 
-// checkpointWriter serializes completed points to disk. flush is called
-// from onPointDone under a point's fold lock; the writer's own mutex
-// orders concurrent completions of different points. Write errors are
-// sticky — the first one is reported once the sweep drains.
-type checkpointWriter struct {
-	path   string
-	fp     uint64
-	points int
-
-	mu   sync.Mutex
-	done map[int]CampaignResult
-	err  error
+// createCheckpoint writes a log holding only its header line, by temp
+// file + rename, so a crash never leaves a headerless file behind.
+func createCheckpoint(path string, h checkpointHeader) error {
+	line, err := json.Marshal(h)
+	if err != nil {
+		return err
+	}
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, append(line, '\n'), 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
 }
 
+// parseCheckpoint validates a checkpoint log and decodes its entries. It
+// returns the recorded points and the length of the whole-line prefix
+// they came from; anything past that is a torn final line to drop. Only
+// the final line may fail to parse: a bad line with more after it is
+// corruption no crash mid-append can leave.
+func parseCheckpoint(data []byte, fp uint64, npoints int) (map[int]CampaignResult, int, error) {
+	end := bytes.IndexByte(data, '\n')
+	head := data
+	if end >= 0 {
+		head = data[:end]
+	}
+	// A version-1 file is one JSON object with no newline: it decodes as
+	// a header and fails on its version, not as corrupt.
+	var h checkpointHeader
+	if err := json.Unmarshal(head, &h); err != nil {
+		return nil, 0, fmt.Errorf("corrupt: %w", err)
+	}
+	if h.Version != checkpointVersion {
+		return nil, 0, fmt.Errorf("version %d, want %d", h.Version, checkpointVersion)
+	}
+	if end < 0 {
+		return nil, 0, errors.New("corrupt: header line has no newline")
+	}
+	if h.Fingerprint != fp || h.Points != npoints {
+		return nil, 0, errors.New("written for a different sweep configuration (delete it to start over)")
+	}
+	done := make(map[int]CampaignResult)
+	whole := end + 1
+	for whole < len(data) {
+		n := bytes.IndexByte(data[whole:], '\n')
+		if n < 0 {
+			break // torn final line
+		}
+		next := whole + n + 1
+		point, res, err := parseEntry(data[whole : whole+n])
+		if err != nil {
+			if next == len(data) {
+				break // unparsable final line
+			}
+			return nil, 0, fmt.Errorf("corrupt entry at byte %d: %w", whole, err)
+		}
+		if point < 0 || point >= npoints {
+			return nil, 0, fmt.Errorf("point %d out of range [0, %d)", point, npoints)
+		}
+		if prev, dup := done[point]; dup && prev != res {
+			return nil, 0, fmt.Errorf("point %d recorded twice with different results", point)
+		}
+		done[point] = res
+		whole = next
+	}
+	return done, whole, nil
+}
+
+// parseEntry decodes one entry line. Both fields must be present: "{}"
+// or "null" decode without error but record no point.
+func parseEntry(line []byte) (int, CampaignResult, error) {
+	var e struct {
+		Point  *int            `json:"point"`
+		Result *CampaignResult `json:"result"`
+	}
+	if err := json.Unmarshal(line, &e); err != nil {
+		return 0, CampaignResult{}, err
+	}
+	if e.Point == nil || e.Result == nil {
+		return 0, CampaignResult{}, errors.New("entry lacks its point or result")
+	}
+	return *e.Point, *e.Result, nil
+}
+
+// checkpointWriter appends completed points to a checkpoint log. flush is
+// called from onPointDone under a point's fold lock; the writer's own
+// mutex orders concurrent completions of different points, so entry
+// lines never interleave. Write errors are sticky — the first one is
+// reported once the sweep drains.
+type checkpointWriter struct {
+	path string
+
+	mu       sync.Mutex
+	recorded map[int]bool
+	err      error
+}
+
+// openCheckpointWriter loads (or creates) the log at path and returns a
+// writer appending to it, plus the points the log already held.
+func openCheckpointWriter(path string, fp uint64, npoints int) (*checkpointWriter, map[int]CampaignResult, error) {
+	done, err := loadCheckpoint(path, fp, npoints)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := &checkpointWriter{path: path, recorded: make(map[int]bool, len(done))}
+	for p := range done {
+		w.recorded[p] = true
+	}
+	return w, done, nil
+}
+
+// flush appends one entry line for point unless the log already holds
+// it. Only the new point is marshalled, and it lands with a single write
+// on an O_APPEND handle, so a flush costs the same however many points
+// are recorded. The handle is opened per flush and never creates the
+// file: only loadCheckpoint does, header first.
 func (w *checkpointWriter) flush(point int, res CampaignResult) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
+	if w.err != nil || w.recorded[point] {
 		return
 	}
-	w.done[point] = res
-	entries := make([]checkpointEntry, 0, len(w.done))
-	for p, r := range w.done {
-		entries = append(entries, checkpointEntry{Point: p, Result: r})
+	line, err := json.Marshal(checkpointEntry{Point: point, Result: res})
+	if err == nil {
+		err = appendLine(w.path, line)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Point < entries[j].Point })
-	data, err := json.Marshal(checkpointFile{
-		Version:     checkpointVersion,
-		Fingerprint: w.fp,
-		Points:      w.points,
-		Done:        entries,
-	})
 	if err != nil {
 		w.err = err
 		return
 	}
-	// Atomic replace: a crash mid-write leaves either the previous
-	// checkpoint or the new one, never a torn file.
-	tmp := w.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		w.err = err
-		return
+	w.recorded[point] = true
+}
+
+// appendLine writes line and its newline to the end of the existing file
+// at path in one write.
+func appendLine(path string, line []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		w.err = err
+	_, err = f.Write(append(line, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	return err
 }
 
 func (w *checkpointWriter) firstErr() error {
@@ -285,37 +389,31 @@ func (w *checkpointWriter) firstErr() error {
 // scheduler — the campaign service's worker-fleet supervisor, which
 // commits points as lease results arrive instead of through a single
 // in-process sweep. OpenCheckpoint validates the file against the sweep
-// configuration exactly as RunSweepPointsCheckpoint would, and Flush
-// makes one more completed point durable with the same atomic-replace
-// discipline, so a file written through a CheckpointStore and one
-// written by RunSweepPointsCheckpoint over the same points are
-// interchangeable: either runner resumes from either file.
+// configuration exactly as RunSweepPointsCheckpoint would (dropping a
+// torn final line the same way), and Flush appends one more completed
+// point through the same writer, so a file written through a
+// CheckpointStore and one written by RunSweepPointsCheckpoint over the
+// same points are interchangeable: either runner resumes from either
+// file.
 type CheckpointStore struct {
 	w        *checkpointWriter
+	points   int
 	restored map[int]CampaignResult
 }
 
-// OpenCheckpoint opens (or implicitly creates) the checkpoint at path
-// for the given sweep grid. A file written for a different sweep is
+// OpenCheckpoint opens the checkpoint at path for the given sweep grid,
+// creating it (header only) when missing. A file written for a different sweep is
 // rejected by fingerprint, never merged. Flush is safe for concurrent
 // use; write errors are sticky and surface from every later Flush.
 func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*CheckpointStore, error) {
 	if path == "" {
 		return nil, fmt.Errorf("core: checkpoint: empty path")
 	}
-	fp := sweepFingerprint(points, ad)
-	done, err := loadCheckpoint(path, fp, len(points))
+	w, done, err := openCheckpointWriter(path, sweepFingerprint(points, ad), len(points))
 	if err != nil {
 		return nil, err
 	}
-	restored := make(map[int]CampaignResult, len(done))
-	for i, r := range done {
-		restored[i] = r
-	}
-	return &CheckpointStore{
-		w:        &checkpointWriter{path: path, fp: fp, points: len(points), done: done},
-		restored: restored,
-	}, nil
+	return &CheckpointStore{w: w, points: len(points), restored: done}, nil
 }
 
 // Restored returns the completions the file held when opened, keyed by
@@ -323,13 +421,14 @@ func OpenCheckpoint(path string, points []SweepPoint, ad AdaptiveStop) (*Checkpo
 // later Flush calls.
 func (c *CheckpointStore) Restored() map[int]CampaignResult { return c.restored }
 
-// Flush records one completed point and atomically rewrites the file.
-// It returns the store's first write error (sticky, as in the
-// checkpointed sweep runner: a checkpoint that cannot be written means
-// the crash-safety the caller asked for is gone).
+// Flush records one completed point by appending its entry line; a
+// point the file already holds is left as it is and adds no line. It
+// returns the store's first write error (sticky, as in the checkpointed
+// sweep runner: a checkpoint that cannot be written means the
+// crash-safety the caller asked for is gone).
 func (c *CheckpointStore) Flush(point int, res CampaignResult) error {
-	if point < 0 || point >= c.w.points {
-		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.w.points)
+	if point < 0 || point >= c.points {
+		return fmt.Errorf("core: checkpoint: point %d out of range [0, %d)", point, c.points)
 	}
 	c.w.flush(point, res)
 	if err := c.w.firstErr(); err != nil {

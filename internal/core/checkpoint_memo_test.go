@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -167,18 +165,8 @@ func TestCheckpointResumeRemapsErrorPoint(t *testing.T) {
 	// reported index must still be the caller's coordinate 2, not the
 	// dense post-skip index 0.
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	data, err := json.Marshal(checkpointFile{
-		Version:     checkpointVersion,
-		Fingerprint: sweepFingerprint(points, AdaptiveStop{}),
-		Points:      len(points),
-		Done:        []checkpointEntry{{Point: 0, Result: aRes[0]}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeCheckpointV2(t, path, sweepFingerprint(points, AdaptiveStop{}), len(points),
+		checkpointEntry{Point: 0, Result: aRes[0]})
 
 	_, _, err = RunSweepPointsCheckpoint(points, SweepOptions{}, path)
 	if err == nil {
